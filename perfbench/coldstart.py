@@ -15,6 +15,6 @@ import inputs  # noqa: E402
 
 if __name__ == "__main__":
     seed = int(sys.argv[1])
-    graphs = [repro.Graph(inputs.N, inputs.chords_edges(seed)),
-              repro.Graph(inputs.N, inputs.er_edges(seed))]
+    graphs = [repro.Graph(inputs.BUILD_N, inputs.build_chords_edges(seed)),
+              repro.Graph(inputs.BUILD_N, inputs.build_er_edges(seed))]
     print("ready", sum(g.m for g in graphs), flush=True)

@@ -3,8 +3,8 @@
 The program receives only the generated edge lists and blueprint
 documents, never the seed.  Same seed, same inputs.
 
-The two build graphs are fixed random graphs whose vertex labels the
-seed permutes (vertex 0, the source, stays put).  How much work a
+The build graphs and the served ER graph are fixed random graphs whose
+vertex labels the seed permutes (vertex 0, the source, stays put).  How much work a
 ``cons2`` build does depends strongly on the shape of the graph: on
 fresh random chords graphs the snapshot-cache lookups of one build
 ranged 53k-88k over six seeds, while relabelings of one graph stay
@@ -19,6 +19,12 @@ import random
 N = 1000
 CHORDS = 300
 ER_P = 0.008
+#: The ``build`` graphs: the n = 1000 shapes (30% chords; average ER
+#: degree 8) at half the size, so one build takes about 1.5 s and a
+#: run holds enough builds for a steady median (README.md).
+BUILD_N = 500
+BUILD_CHORDS = 150
+BUILD_ER_P = 0.016
 TORUS = (32, 32)
 SWEEP_SOURCES = (0, 300, 700)
 #: Seed of the base graphs that ``--seed`` relabels.
@@ -46,14 +52,28 @@ def relabel(edges, seed, n=N):
     )
 
 
-def chords_edges(seed):
-    """The chords graph relabeled by ``seed``."""
-    return relabel(_chords(BASE_SEED), seed)
+def build_chords_edges(seed):
+    """The ``build`` chords graph (n = 500, 150 chords) relabeled by ``seed``."""
+    return relabel(_chords(BASE_SEED, BUILD_N, BUILD_CHORDS), seed, BUILD_N)
+
+
+def build_er_edges(seed):
+    """The ``build`` ER graph (n = 500, p = 0.016) relabeled by ``seed``."""
+    return relabel(_er(BASE_SEED, BUILD_N, BUILD_ER_P), seed, BUILD_N)
 
 
 def er_edges(seed):
-    """The ER graph relabeled by ``seed``."""
+    """The served ER graph (n = 1000, p = 0.008) relabeled by ``seed``."""
     return relabel(_er(BASE_SEED), seed)
+
+
+def reference_edges():
+    """The fixed graph of the host-speed reference BFS: the base ER graph.
+
+    It does not depend on ``--seed``, so the reference does the same
+    work in every run.
+    """
+    return _er(BASE_SEED)
 
 
 def _chords(seed, n=N, chords=CHORDS):

@@ -27,24 +27,25 @@ import time
 
 import selftest
 import workloads
-from stats import quantile
+from stats import REF_NOMINAL_S, quantile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
 ROOT = os.path.dirname(HERE)
 
 #: Every end-to-end metric under its own name, each as (workload, metric
 #: reported by that workload, scale): README.md maps the gated slots.
+#: Times are host-normalized (``stats.normalized``).
 NAMED_METRICS = (
     ("setup_s", "s", (("build", "setup_s", 1.0), ("serve", "setup_s", 1.0),
                       ("sweep", "setup_s", 1.0))),
-    ("build_chords_p50_s", "s", (("build", "op1_p50_ms", 1e-3),)),
-    ("build_er_p50_s", "s", (("build", "op2_p50_ms", 1e-3),)),
-    ("point_p50_ms", "ms", (("serve", "op1_p50_ms", 1.0),)),
-    ("path_p50_ms", "ms", (("serve", "op.path.p50_ms", 1.0),)),
-    ("batch_p50_ms", "ms", (("serve", "op.batch.p50_ms", 1.0),)),
-    ("delta_p50_ms", "ms", (("serve", "op2_p50_ms", 1.0),)),
-    ("sweep_fresh_p50_s", "s", (("sweep", "op1_p50_ms", 1e-3),)),
-    ("sweep_delta_p50_s", "s", (("sweep", "op2_p50_ms", 1e-3),)),
+    ("build_chords_p50_s", "s", (("build", "op1_norm_p50_ms", 1e-3),)),
+    ("build_er_p50_s", "s", (("build", "op2_norm_p50_ms", 1e-3),)),
+    ("point_p50_ms", "ms", (("serve", "op.point.norm_p50_ms", 1.0),)),
+    ("path_p50_ms", "ms", (("serve", "op.path.norm_p50_ms", 1.0),)),
+    ("batch_p50_ms", "ms", (("serve", "op1_norm_p50_ms", 1.0),)),
+    ("delta_p50_ms", "ms", (("serve", "op2_norm_p50_ms", 1.0),)),
+    ("sweep_fresh_p50_s", "s", (("sweep", "op1_norm_p50_ms", 1e-3),)),
+    ("sweep_delta_p50_s", "s", (("sweep", "op2_norm_p50_ms", 1e-3),)),
     ("peak_rss_mb", "MB", (("build", "peak_rss_mb", 1.0), ("serve", "peak_rss_mb", 1.0),
                            ("sweep", "peak_rss_mb", 1.0))),
     ("error_rate", "ratio", (("build", "error_rate", 1.0), ("serve", "error_rate", 1.0),
@@ -85,15 +86,15 @@ def _fingerprint(ctx, unset):
     ok, detail = c_kernel_status()
     in_effect = sorted(k for k in os.environ if k.startswith("REPRO_"))
 
-    ref = quantile(ctx.ref_loop, 0.25) * 1e3 if ctx.ref_loop else 0.0
-    ctx.layers["host.ref_loop_p25_ms"] = ref
+    ref = quantile(ctx.ref_samples, 0.25) * 1e3 if ctx.ref_samples else 0.0
+    ctx.layers["host.ref_bfs_p25_ms"] = ref
     return [
         f"host: {os.cpu_count()} cores, Python {platform.python_version()}, "
         f"numpy {numpy_version}, C kernel {'loads' if ok else 'unavailable'} ({detail})",
         f"engine: {repro.DEFAULT_ENGINE} (default); REPRO_* in effect: "
         f"{in_effect or 'none'}; unset by the benchmark: {unset or 'none'}",
-        f"reference loop p25 {ref:.3f} ms over {len(ctx.ref_loop)} samples "
-        f"(diagnostic of the host regime, never a divisor)",
+        f"reference BFS p25 {ref:.3f} ms over {len(ctx.ref_samples)} blocks "
+        f"(the host's speed; times are normalized to {REF_NOMINAL_S * 1e3:g} ms per BFS)",
     ]
 
 

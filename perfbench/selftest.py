@@ -8,9 +8,10 @@ import random
 import statistics
 import sys
 
+import hostref
 import refcheck
 import spans
-from stats import Outcomes, quantile, summary, wire_ms
+from stats import REF_NOMINAL_S, Outcomes, normalized, quantile, summary, wire_ms
 
 
 def _check(cond, what):
@@ -100,6 +101,29 @@ def test_wire():
     _check(wire_ms(1.0, 1.0) == 0.0, "no wire when equal")
 
 
+def test_normalized():
+    _check(normalized(0.5, REF_NOMINAL_S, REF_NOMINAL_S) == 0.5, "nominal host: unchanged")
+    _check(abs(normalized(0.5, 2 * REF_NOMINAL_S, 2 * REF_NOMINAL_S) - 0.25) < 1e-15,
+           "a host half as fast halves the time")
+    _check(abs(normalized(0.3, 1e-3, 2e-3) - 0.3 * REF_NOMINAL_S / 1.5e-3) < 1e-15,
+           "the mean of the two reference blocks")
+    # A host slowing down uniformly leaves the normalized time unchanged.
+    _check(abs(normalized(0.4 * 1.7, 1.7e-3, 1.7e-3) - normalized(0.4, 1e-3, 1e-3)) < 1e-15,
+           "a uniform slowdown cancels")
+
+
+def test_host_reference():
+    rng = random.Random(3)
+    n = 60
+    es = sorted({refcheck.edge(rng.randrange(n), rng.randrange(n)) for _ in range(90)})
+    es = [e for e in es if e[0] != e[1]]
+    ref = hostref.Reference(n, es)
+    adj = refcheck.adjacency(n, es)
+    for source in (0, 7, 59):
+        _check(ref.distances(source) == refcheck.bfs(adj, source), "reference BFS distances")
+    _check(ref.seconds_per_bfs(3) > 0.0, "reference timing")
+
+
 def test_reference_checker():
     # A 4-cycle 0-1-2-3-0 with a pendant 4 on 2.
     edges = [(0, 1), (1, 2), (2, 3), (0, 3), (2, 4)]
@@ -129,7 +153,8 @@ def test_reference_checker():
 
 
 TESTS = [test_quantile_rank, test_self_time_nested, test_recorder_nesting,
-         test_error_rate_counting, test_wire, test_reference_checker]
+         test_error_rate_counting, test_wire, test_normalized,
+         test_host_reference, test_reference_checker]
 
 
 def run():

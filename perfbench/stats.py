@@ -1,10 +1,12 @@
 """The benchmark's own arithmetic: quantiles, summaries, error counting.
 
-The gated statistic is the median (p50) of many samples taken within
-one run.  On a shared host the samples of a deterministic operation
-fall into a fast and a slow mode whose mix drifts over minutes; the
-lower quartile flips between the modes as the mix moves, while the
-median stays in the dominant one (see README.md, "Why the median").
+The gated statistic is the median (p50) of many host-normalized
+samples taken within one run.  On a shared host the speed of a
+deterministic operation drifts by up to 1.8x over minutes, in process
+CPU time as much as in wall time.  A fixed, repository-independent
+reference (:mod:`hostref`) is timed just before and just after every
+operation; it slows down with the host, so the operation's time
+divided by it stays put (see README.md, "Host-normalized times").
 """
 
 from __future__ import annotations
@@ -25,6 +27,22 @@ def quantile(samples, q):
     lo = int(rank)
     hi = min(lo + 1, len(ordered) - 1)
     return ordered[lo] + (ordered[hi] - ordered[lo]) * (rank - lo)
+
+
+#: Time of one reference BFS on a host of nominal speed.  A normalized
+#: time reads as the time the operation would take on such a host.
+REF_NOMINAL_S = 1e-3
+
+
+def normalized(raw_s, ref_before_s, ref_after_s):
+    """``raw_s`` rescaled to a host on which one reference BFS takes
+    :data:`REF_NOMINAL_S`.
+
+    ``ref_before_s`` and ``ref_after_s`` are the per-BFS times of the
+    reference blocks timed just before and just after the operation;
+    their mean is the host's speed while the operation ran.
+    """
+    return raw_s * REF_NOMINAL_S * 2.0 / (ref_before_s + ref_after_s)
 
 
 def summary(samples):

@@ -3,12 +3,16 @@
 Each drives only public entry points of ``repro`` on the default
 engine, interleaves the samples of its operations round-robin so every
 metric sees the same host states, and checks every answer with
-:mod:`refcheck`.  With tracing on, rounds alternate between traced and
-untraced execution; the difference is the tracing overhead.
+:mod:`refcheck`.  Every timed operation and set-up sample sits between
+two blocks of the host-speed reference (:meth:`Context.reference`),
+and its time is normalized by them (:func:`stats.normalized`).  With
+tracing on, rounds alternate between traced and untraced execution;
+the difference is the tracing overhead.
 """
 
 from __future__ import annotations
 
+import gc
 import glob
 import json
 import os
@@ -18,26 +22,34 @@ import subprocess
 import sys
 import time
 
+import hostref
 import inputs
 import refcheck
 import spans
-from stats import Outcomes, quantile, summary, wire_ms
+from stats import Outcomes, normalized, quantile, summary, wire_ms
 
 SOURCE = 0
 #: Set-up samples taken before the first operation; more are taken
-#: between operations (every build, every SETUP_EVERY_S of serving,
+#: between operations (every build round, every SETUP_EVERY_S of serving,
 #: every sweep round) so that set-up sees the same host states.
 SETUP_FIRST = 3
 SETUP_EVERY_S = 2.0
 FT_SAMPLE_PAIRS = 24
 BATCH_TARGETS = 256
 PROC_TIMEOUT = 60.0
+#: Reference BFS runs per block (about 0.6-1 ms each on the reference
+#: host), sized to a few percent of the operation the blocks bracket.
+REF_BUILD = 24
+REF_SWEEP = 16
+REF_SERVE = 4
+REF_SETUP = 16
 
-#: |H| and edge-set digest of each build at the default seed.
+#: |H| and edge-set digest of each built structure at the default seed.
 PINNED_SEED = 20
 PINNED = {
-    "chords": (1297, "3a020a4c0295c1c7e4e10a2e1cfa8d501f0e4845434fa2309252afe80ba04db9"),
-    "er": (2758, "7e9f753efc61547841ee35f7f024d44826a36d77320f5dcb153546c83c986c02"),
+    "build_chords": (649, "dc04adddbad6a88ac52dc68e575af439b8e7966d689a5649cd5c36e853f80dce"),
+    "build_er": (1365, "c7ac8a2420056a903714ca370689d58e58bd24b1388e2ffb1cab1ae42de39809"),
+    "serve_er": (2758, "7e9f753efc61547841ee35f7f024d44826a36d77320f5dcb153546c83c986c02"),
 }
 
 
@@ -55,7 +67,8 @@ class Context:
         self.lines = []
         self.e2e = {}
         self.layers = {}
-        self.ref_loop = []
+        self.host_ref = hostref.Reference(inputs.N, inputs.reference_edges())
+        self.ref_samples = []
         self.children = []
         self.deadline = None
         self.traced_wall_ns = 0
@@ -64,14 +77,18 @@ class Context:
     def say(self, line):
         self.lines.append(line)
 
-    def probe_host(self, count=3):
-        """Time a fixed, repository-independent loop (a diagnostic only)."""
-        for _ in range(count):
-            t0 = time.perf_counter()
-            acc = 0
-            for i in range(100_000):
-                acc += i * i
-            self.ref_loop.append(time.perf_counter() - t0)
+    def reference(self, runs):
+        """Time ``runs`` BFS of the host-speed reference; seconds per BFS."""
+        per_bfs = self.host_ref.seconds_per_bfs(runs)
+        self.ref_samples.append(per_bfs)
+        return per_bfs
+
+    def bracketed(self, runs, fn):
+        """Call ``fn`` (which returns the seconds it measured) between two
+        reference blocks; returns ``(raw, normalized)`` seconds."""
+        before = self.reference(runs)
+        raw = fn()
+        return raw, normalized(raw, before, self.reference(runs))
 
     def spawn(self, args):
         """Start a child process in the checkout with the run's environment."""
@@ -211,29 +228,36 @@ def _overhead(ctx, traced, untraced):
             f"{u * 1e3:.3f} ms = {100 * ratio:+.1f}%")
 
 
-def _record_latencies(ctx, samples, unit_scale, unit):
-    """Per-op p50 (gated), p25/p99 and counts (diagnostics)."""
+def _record_latencies(ctx, samples, norm, unit_scale, unit):
+    """Per-op normalized p50 (gated), raw p25/p50/p99 and counts."""
     for op, values in samples.items():
         if not values:
             continue
         s = summary(values)
+        n50 = quantile(norm[op], 0.5)
+        ctx.layers[f"op.{op}.norm_p50_ms"] = n50 * 1e3
         ctx.layers[f"op.{op}.p50_ms"] = s["p50"] * 1e3
         ctx.layers[f"op.{op}.p99_ms"] = s["p99"] * 1e3
         ctx.layers[f"op.{op}.samples"] = s["n"]
         ctx.layers[f"op.{op}.p25_ms"] = s["p25"] * 1e3
         ctx.say(
-            f"  {op:<14s} p25 {s['p25'] * unit_scale:10.4f} {unit}  "
-            f"p50 {s['p50'] * unit_scale:10.4f} {unit}  "
+            f"  {op:<14s} normalized p50 {n50 * unit_scale:10.4f} {unit}  raw "
+            f"p25 {s['p25'] * unit_scale:10.4f}  p50 {s['p50'] * unit_scale:10.4f}  "
             f"p99 {s['p99'] * unit_scale:10.4f} {unit}  (n={s['n']})"
         )
 
 
-def _timed(ctx, tracer, traced_op, label, fn):
-    """Time one call of ``fn``, under the span wrappers when ``traced_op``.
+def _timed(ctx, tracer, traced_op, label, fn, ref_runs):
+    """Time one call of ``fn``, under the span wrappers when ``traced_op``,
+    between two reference blocks of ``ref_runs`` BFS each.
 
-    An exception counts as a failed operation.  Returns ``(result or
-    None, seconds)``; traced calls add to the traced wall and roots.
+    A full collection first gives every operation the same collector
+    state.  An exception counts as a failed operation.  Returns
+    ``(result or None, seconds, normalized seconds)``; traced calls add
+    to the traced wall and roots.
     """
+    gc.collect()
+    before = ctx.reference(ref_runs)
     if traced_op:
         tracer.install()
         tracer.rec.request += 1
@@ -252,27 +276,29 @@ def _timed(ctx, tracer, traced_op, label, fn):
         ctx.traced_roots.update(
             i for i in range(first_span, len(rec.name)) if rec.parent[i] < 0
         )
-    return result, dt / 1e9
+    return result, dt / 1e9, normalized(dt / 1e9, before, ctx.reference(ref_runs))
 
 
 def _slots(ctx, op1, op2):
-    """The gated median of the workload's two operations, in ms."""
-    for key, values in (("op1_p50_ms", op1), ("op2_p50_ms", op2)):
+    """The gated normalized median of the workload's two operations, in ms."""
+    for key, values in (("op1_norm_p50_ms", op1), ("op2_norm_p50_ms", op2)):
         if values:
             ctx.e2e[key] = quantile(values, 0.5) * 1e3
 
 
-def _setup_samples(ctx, samples):
-    s = summary(samples)
-    ctx.e2e["setup_s"] = s["p50"]
-    ctx.say(f"  setup          p25 {s['p25']:10.4f} s   p50 {s['p50']:10.4f} s   "
-            f"max {max(samples):10.4f} s   (n={s['n']})")
+def _setup_samples(ctx, raw, norm):
+    s = summary(raw)
+    n50 = quantile(norm, 0.5)
+    ctx.e2e["setup_s"] = n50
+    ctx.layers["setup.raw_p50_s"] = s["p50"]
+    ctx.say(f"  setup          normalized p50 {n50:10.4f} s   raw p25 {s['p25']:10.4f}  "
+            f"p50 {s['p50']:10.4f}  max {max(raw):10.4f} s   (n={s['n']})")
 
 
 # ----------------------------------------------------------------------
 # build
 # ----------------------------------------------------------------------
-def _check_structure(ctx, name, edges, h, first):
+def _check_structure(ctx, name, n, edges, h, first):
     """Check one built structure; returns its (|H|, digest)."""
     h_edges = sorted(refcheck.edge(*e) for e in h.edges)
     key = (len(h_edges), refcheck.edge_digest(h_edges))
@@ -286,10 +312,10 @@ def _check_structure(ctx, name, edges, h, first):
         ctx.outcomes.fail(f"{name}: structure is not a 2-fault subgraph of G from {SOURCE}")
     rng = random.Random(f"ftcheck:{ctx.seed}:{name}")
     for msg in refcheck.ft_sample_mismatches(
-        inputs.N, edges, h_edges, SOURCE, rng, FT_SAMPLE_PAIRS
+        n, edges, h_edges, SOURCE, rng, FT_SAMPLE_PAIRS
     ):
         ctx.outcomes.fail(f"{name}: {msg}")
-    pinned = PINNED[name.rsplit("_", 1)[-1]]
+    pinned = PINNED[name]
     if ctx.seed == PINNED_SEED and key != pinned:
         ctx.outcomes.fail(f"{name}: |H|/digest {key} differ from pinned {pinned}")
     ctx.say(f"  {name}: |H| = {key[0]} of m = {len(edges)}, digest {key[1][:16]}")
@@ -316,33 +342,37 @@ def run_build(ctx):
         return dt
 
     cold_start()  # compiles bytecode once; not a user's cold start
-    t_setup = [cold_start() for _ in range(SETUP_FIRST)]
+    t_setup = [ctx.bracketed(REF_SETUP, cold_start) for _ in range(SETUP_FIRST)]
     import repro
 
-    graphs = [("build_chords", inputs.chords_edges(ctx.seed)),
-              ("build_er", inputs.er_edges(ctx.seed))]
+    graphs = [("build_chords", inputs.build_chords_edges(ctx.seed)),
+              ("build_er", inputs.build_er_edges(ctx.seed))]
     tracer = spans.Tracer() if ctx.trace else None
     samples = {name: [] for name, _ in graphs}
+    norm = {name: [] for name, _ in graphs}
     traced = {name: [] for name, _ in graphs}
     first = {}
     cache = repro.shared_cache()
     cache.reset_stats()
     counters = {"hits": 0, "misses": 0, "spec_planned": 0, "spec_hits": 0,
                 "entries": 0, "vector_weight": 0}
-    ctx.probe_host(5)
     for r, plan in _round_robin(ctx, graphs):
         for (name, edges), traced_op in plan:
             if r and time.perf_counter() >= ctx.deadline:
                 break  # a build takes seconds: stop at the deadline, not the round's end
-            g = repro.Graph(inputs.N, edges)
+            g = repro.Graph(inputs.BUILD_N, edges)
             cache.clear()
             before = cache.stats()
-            h, dt = _timed(ctx, tracer, traced_op, name,
-                           lambda: repro.build_cons2ftbfs(g, SOURCE))
+            h, dt, nd = _timed(ctx, tracer, traced_op, name,
+                               lambda: repro.build_cons2ftbfs(g, SOURCE), REF_BUILD)
             if h is None:
                 continue
             ctx.outcomes.record(True)
-            (traced if traced_op else samples)[name].append(dt)
+            if traced_op:
+                traced[name].append(dt)
+            else:
+                samples[name].append(dt)
+                norm[name].append(nd)
             if traced_op:
                 after = cache.stats()
                 for key in ("hits", "misses", "spec_planned", "spec_hits"):
@@ -350,15 +380,15 @@ def run_build(ctx):
                 counters["entries"] = max(counters["entries"], after["entries"])
                 counters["vector_weight"] = max(counters["vector_weight"], after["vector_weight"])
                 ctx.layers["kernel.bulk_kernel_built"] = int(_bulk_kernel_built(repro, g))
-            size, _ = _check_structure(ctx, name, edges, h, first)
+            size, _ = _check_structure(ctx, name, inputs.BUILD_N, edges, h, first)
             ctx.layers[f"builder.structure_edges.{name.split('_')[1]}"] = size
-            t_setup.append(cold_start())
-        ctx.probe_host(3)
+        t_setup.append(ctx.bracketed(REF_SETUP, cold_start))
     ctx.e2e["peak_rss_mb"] = _self_rss_mb()
-    ctx.say("build: cons2ftbfs from source 0, n = 1000, snapshot cache cleared per build")
-    _setup_samples(ctx, t_setup)
-    _record_latencies(ctx, samples, 1.0, "s ")
-    _slots(ctx, samples["build_chords"], samples["build_er"])
+    ctx.say(f"build: cons2ftbfs from source 0, n = {inputs.BUILD_N}, "
+            f"snapshot cache cleared per build")
+    _setup_samples(ctx, *zip(*t_setup))
+    _record_latencies(ctx, samples, norm, 1.0, "s ")
+    _slots(ctx, norm["build_chords"], norm["build_er"])
     if tracer is not None:
         _layer_metrics(ctx, tracer.rec, ctx.traced_roots, ctx.traced_wall_ns)
         looked = counters["hits"] + counters["misses"]
@@ -401,6 +431,16 @@ class _Server:
         finally:
             self.client.close()
         return self.ctx.reap(self.proc)
+
+
+def _start_server(ctx, args, t_setup):
+    """Start a server between two reference blocks; appends its
+    ``(raw, normalized)`` set-up sample to ``t_setup``."""
+    before = ctx.reference(REF_SETUP)
+    server = _Server(ctx, args)
+    after = ctx.reference(REF_SETUP)
+    t_setup.append((server.setup_s, normalized(server.setup_s, before, after)))
+    return server
 
 
 def _serve_round(rng, h_list, removed):
@@ -475,7 +515,7 @@ def run_serve(ctx):
 
     edges = inputs.er_edges(ctx.seed)
     h = repro.build_cons2ftbfs(repro.Graph(inputs.N, edges), SOURCE)
-    _check_structure(ctx, "er", edges, h, {})
+    _check_structure(ctx, "serve_er", inputs.N, edges, h, {})
     h_list = sorted(refcheck.edge(*e) for e in h.edges)
     h_adj = refcheck.adjacency(inputs.N, h_list)
     os.makedirs(ctx.work, exist_ok=True)
@@ -488,26 +528,24 @@ def run_serve(ctx):
         _Server(ctx, serve_cmd).stop()  # compiles bytecode once
         t_setup = []
         for _ in range(SETUP_FIRST):
-            server = _Server(ctx, serve_cmd)
-            t_setup.append(server.setup_s)
-            server.stop()
-        server = _Server(ctx, serve_cmd)
-        t_setup.append(server.setup_s)
-        servers[False] = server
+            _start_server(ctx, serve_cmd, t_setup).stop()
+        servers[False] = _start_server(ctx, serve_cmd, t_setup)
         if ctx.trace:
             servers[True] = _Server(ctx, [sys.executable, "perfbench/traced_serve.py", art, dump])
         rng = random.Random(f"serve:{ctx.seed}")
         removed = None
         ops = ("point", "path", "batch", "delta")
         samples = {op: [] for op in ops}
+        norm = {op: [] for op in ops}
         traced = {op: [] for op in ops}
         log = []
-        ctx.probe_host(5)
         next_setup = time.perf_counter() + SETUP_EVERY_S
+        ref_before = ctx.reference(REF_SERVE)
         for r, _ in _round_robin(ctx, ops):
             order = [False, True] if r % 2 == 0 else [True, False]
             order = [t for t in order if t in servers]
             requests = _serve_round(rng, h_list, removed)
+            untraced = []
             for op, args in requests:
                 for tr in order:
                     t0 = time.perf_counter_ns()
@@ -519,14 +557,18 @@ def run_serve(ctx):
                     ctx.outcomes.record(resp.get("ok", False),
                                         f"serve {op}: {resp.get('error')}")
                     (traced if tr else samples)[op].append(dt / 1e9)
+                    if not tr:
+                        untraced.append((op, dt / 1e9))
                     log.append((op, args, removed, resp))
                 if op == "delta":
                     removed = None if removed is not None else refcheck.edge(*args)
+            ref_after = ctx.reference(REF_SERVE)
+            for op, dt in untraced:
+                norm[op].append(normalized(dt, ref_before, ref_after))
+            ref_before = ref_after
             if time.perf_counter() >= next_setup:
-                extra = _Server(ctx, serve_cmd)
-                t_setup.append(extra.setup_s)
-                extra.stop()
-                ctx.probe_host(1)
+                _start_server(ctx, serve_cmd, t_setup).stop()
+                ref_before = ctx.reference(REF_SERVE)
                 next_setup = time.perf_counter() + SETUP_EVERY_S
         rss = {tr: s.stop() for tr, s in servers.items()}
         servers = {}
@@ -543,9 +585,9 @@ def run_serve(ctx):
     ctx.e2e["peak_rss_mb"] = rss[False]
     ctx.say(f"serve: ER n = 1000 |H| = {len(h_list)} artifact over loopback TCP, "
             f"one closed-loop client, {BATCH_TARGETS}-query batches")
-    _setup_samples(ctx, t_setup)
-    _record_latencies(ctx, samples, 1e3, "ms")
-    _slots(ctx, samples["point"], samples["delta"])
+    _setup_samples(ctx, *zip(*t_setup))
+    _record_latencies(ctx, samples, norm, 1e3, "ms")
+    _slots(ctx, norm["batch"], norm["delta"])
     ctx.layers["delta.survived_ratio"] = survived / (survived + evicted) if survived + evicted else 0.0
     ctx.say(f"delta cache migration: survived {survived}, evicted {evicted}")
     if ctx.trace:
@@ -625,8 +667,8 @@ def run_sweep(ctx):
 
     t_setup = []
     for _ in range(SETUP_FIRST):
-        dt, bp, topo, scenarios = set_up()
-        t_setup.append(dt)
+        t_setup.append(ctx.bracketed(REF_SETUP, lambda: set_up()[0]))
+    _, bp, topo, scenarios = set_up()
     names = sorted(topo.names)
     ref_edges = inputs.torus_named_edges()
     got_edges = {frozenset((topo.names[u], topo.names[v])) for u, v in topo.graph.edges()}
@@ -641,18 +683,23 @@ def run_sweep(ctx):
     ids = sorted(refcheck.edge(index[a], index[b]) for a, b in map(tuple, ref_edges))
     tracer = spans.Tracer() if ctx.trace else None
     samples = {"sweep_fresh": [], "sweep_delta": []}
+    norm = {"sweep_fresh": [], "sweep_delta": []}
     traced = {"sweep_fresh": [], "sweep_delta": []}
     reference = None
     survived = evicted = 0
-    ctx.probe_host(5)
     for r, plan in _round_robin(ctx, ("sweep_fresh", "sweep_delta")):
         for op, traced_op in plan:
             mode = op.split("_")[1]
-            report, dt = _timed(ctx, tracer, traced_op, op,
-                                lambda: scenario.sweep_blueprint(bp, mode=mode, jobs=1))
+            report, dt, nd = _timed(ctx, tracer, traced_op, op,
+                                    lambda: scenario.sweep_blueprint(bp, mode=mode, jobs=1),
+                                    REF_SWEEP)
             if report is None:
                 continue
-            (traced if traced_op else samples)[op].append(dt)
+            if traced_op:
+                traced[op].append(dt)
+            else:
+                samples[op].append(dt)
+                norm[op].append(nd)
             body = _canonical(report)
             if reference is None:
                 bad = refcheck.sweep_mismatches(report, len(names), ids, names)
@@ -664,16 +711,14 @@ def run_sweep(ctx):
                 cache = report["run"]["snapshot_cache"]
                 survived += cache["delta_survived"]
                 evicted += cache["delta_evicted"]
-        t_setup.append(set_up()[0])
-        if r % 5 == 0:
-            ctx.probe_host(1)
+        t_setup.append(ctx.bracketed(REF_SETUP, lambda: set_up()[0]))
     ctx.e2e["peak_rss_mb"] = _self_rss_mb()
     _replay_corpus(ctx, scenario)
     ctx.say(f"sweep: {doc['topology']}, {len(scenarios)} scenarios, "
             f"sources {list(inputs.SWEEP_SOURCES)}, jobs 1")
-    _setup_samples(ctx, t_setup)
-    _record_latencies(ctx, samples, 1e3, "ms")
-    _slots(ctx, samples["sweep_fresh"], samples["sweep_delta"])
+    _setup_samples(ctx, *zip(*t_setup))
+    _record_latencies(ctx, samples, norm, 1e3, "ms")
+    _slots(ctx, norm["sweep_fresh"], norm["sweep_delta"])
     if tracer is not None:
         _layer_metrics(ctx, tracer.rec, ctx.traced_roots, ctx.traced_wall_ns)
         ctx.layers["cache.survival_ratio"] = (
