@@ -331,13 +331,15 @@ def cmd_lowerbound(args: argparse.Namespace) -> int:
 
 
 def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
-    """Which kernel tier actually served an arm's batched point queries.
+    """Which kernel tiers actually served an arm's searches.
 
     Auto-dispatch (``REPRO_C_KERNEL``, ``REPRO_PAIR_LABELS``,
     ``REPRO_BULK_MIN_N``) makes the executing tier invisible in the
-    timings, so ``repro bench`` derives it from the bulk kernel's
-    dispatch counters after the build.  Engines that never touch the
-    bulk kernel report their fixed tier.
+    timings, so ``repro bench`` derives it from the snapshot's dispatch
+    counters after the build (:func:`repro.core.csr.kernel_dispatch_stats`):
+    the scalar searches (C or python loops) and, for the bulk engines,
+    the batch entry points.  Engines that never touch the CSR kernel
+    report their fixed tier.
     """
     if engine == "lex":
         return "python (legacy)"
@@ -345,10 +347,12 @@ def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
         return "python (weighted heap)"
     if engine == "wlex-csr":
         return "csr (weighted dial/heap)"
-    if engine in ("lex-csr", "perturbed"):
-        return "csr"
-    if not stats or not any(stats.values()):
-        return "csr (no vectorized batch ran)"
+    stats = stats or {}
+    scalar = []
+    if stats.get("scalar_c"):
+        scalar.append("c")
+    if stats.get("scalar_python"):
+        scalar.append("python")
     served = []
     if stats.get("pairs_c_mt"):
         served.append("c-mt")
@@ -362,7 +366,12 @@ def _kernel_tier_label(engine: str, stats: Optional[Dict[str, int]]) -> str:
         stats.get("pairs_dense") or stats.get("pairs_compact")
     ):
         served.append("numpy")
-    return "+".join(served) if served else "csr"
+    parts = []
+    if scalar:
+        parts.append("scalar " + "+".join(scalar))
+    if served:
+        parts.append("batch " + "+".join(served))
+    return "; ".join(parts) if parts else "csr (no kernel call)"
 
 
 def cmd_bench(args: argparse.Namespace) -> int:
@@ -392,10 +401,8 @@ def cmd_bench(args: argparse.Namespace) -> int:
     from repro.core import parallel
     from repro.core.snapshot_cache import shared_cache
 
-    try:
-        from repro.core.bulk import kernel_dispatch_stats
-    except ImportError:  # numpy-less install: no bulk kernel to inspect
-        kernel_dispatch_stats = None
+    from repro.core.csr import kernel_dispatch_stats
+
     try:
         from repro.core.ckernel import c_thread_count
     except ImportError:  # numpy-less install
@@ -462,8 +469,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # and the comparison would measure cache hits, not engines.
             shared_cache().clear()
             shared_cache().reset_stats()
-            if kernel_dispatch_stats is not None:
-                kernel_dispatch_stats(graph, reset=True)
+            kernel_dispatch_stats(graph, reset=True)
             t0 = time.perf_counter()
             structure = timed_build(engine, 1)
             best = min(best, time.perf_counter() - t0)
@@ -473,8 +479,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             # clear+reset, so the last capture is representative,
             # not cumulative).
             cache_stats = shared_cache().stats()
-            if kernel_dispatch_stats is not None:
-                tier_stats = kernel_dispatch_stats(graph)
+            tier_stats = kernel_dispatch_stats(graph)
         par: Dict[str, object] = {
             "jobs": jobs,
             "c_threads": c_threads,
@@ -493,8 +498,7 @@ def cmd_bench(args: argparse.Namespace) -> int:
             for _ in range(rounds):
                 shared_cache().clear()
                 shared_cache().reset_stats()
-                if kernel_dispatch_stats is not None:
-                    kernel_dispatch_stats(graph, reset=True)
+                kernel_dispatch_stats(graph, reset=True)
                 t0 = time.perf_counter()
                 par_structure = timed_build(engine, jobs)
                 elapsed = time.perf_counter() - t0
@@ -546,14 +550,19 @@ def cmd_bench(args: argparse.Namespace) -> int:
         tier = r["kernel_tier"]
         ds = r["kernel_dispatch"]
         if ds and any(ds.values()):
-            print(
-                f"             kernel: {tier} — pairs "
-                f"{ds.get('pairs_c_mt', 0)} c-mt / "
-                f"{ds['pairs_c']} c / {ds['pairs_dense']} dense / "
-                f"{ds['pairs_compact']} compact / "
-                f"{ds['pairs_cutover']} cutover; sweep targets "
-                f"{ds['sweeps_c']} c / {ds['sweeps_numpy']} numpy"
+            line = (
+                f"             kernel: {tier} — scalar searches "
+                f"{ds['scalar_c']} c / {ds['scalar_python']} python"
             )
+            if "pairs_c" in ds:
+                line += (
+                    f"; pairs {ds.get('pairs_c_mt', 0)} c-mt / "
+                    f"{ds['pairs_c']} c / {ds['pairs_dense']} dense / "
+                    f"{ds['pairs_compact']} compact / "
+                    f"{ds['pairs_cutover']} cutover; sweep targets "
+                    f"{ds['sweeps_c']} c / {ds['sweeps_numpy']} numpy"
+                )
+            print(line)
         else:
             print(f"             kernel: {tier}")
         pr = r.get("parallel") or {}

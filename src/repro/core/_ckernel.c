@@ -1,13 +1,20 @@
-/* C batch kernels for the restricted point-query hot paths.
+/* C kernels for the restricted-search hot paths.
  *
- * This file implements the two batch entry points of the traversal
- * stack — multi-pair bidirectional point queries and the shared-sweep
- * multi-target query — as plain C over the same flat CSR arrays the
- * python and numpy kernels read (`indptr` int64, `nbr`/`arc_eid`
- * int32).  It removes the per-probe cost the numpy kernel cannot: the
- * lock-step numpy waves still pay python/array dispatch per BFS round,
- * which dominates on shallow expander workloads where each search
- * finishes in 2-3 rounds (see docs/kernels.md).
+ * This file implements two families of entry points as plain C over
+ * the same flat CSR arrays the python and numpy kernels read (`indptr`
+ * int64, `nbr`/`arc_eid` int32):
+ *
+ *  - the batch entry points — multi-pair bidirectional point queries
+ *    and the shared-sweep multi-target query — which remove the
+ *    per-probe cost the numpy kernel cannot: the lock-step numpy waves
+ *    still pay python/array dispatch per BFS round, which dominates on
+ *    shallow expander workloads where each search finishes in 2-3
+ *    rounds (see docs/kernels.md);
+ *  - the scalar entry points behind CSRGraph.bfs / bfs_dists /
+ *    bidir_distance (repro_csr_*), which serve one search per call
+ *    against a per-snapshot context struct bound once, so a call
+ *    passes only integers.  The caller stamps bans into the context's
+ *    tables exactly as the python kernel stamps its lists.
  *
  * Semantics are a direct port of the scalar reference
  * (CSRGraph.bidir_distance / BulkCSRKernel.multi_target_dists):
@@ -75,7 +82,7 @@ PyInit__ckernel(void)
 /* Bumped whenever an exported signature changes; the ctypes wrapper
  * refuses a library whose ABI tag it does not recognize (stale cached
  * build of an older source). */
-#define REPRO_CKERNEL_ABI 3
+#define REPRO_CKERNEL_ABI 4
 
 REPRO_EXPORT int64_t
 repro_ckernel_abi(void)
@@ -84,19 +91,22 @@ repro_ckernel_abi(void)
 }
 
 /* One meet-in-the-middle restricted point query (see file header for
- * the exactness contract).  All scratch is caller-owned and stamped
- * with `gen`; frontier buffers hold at most n entries each because a
- * vertex enters a side's frontier at most once per search. */
+ * the exactness contract).  All scratch is caller-owned: visit tables
+ * are stamped with `gen`, bans are live where they equal `bgen` (the
+ * batch entry points stamp both with one generation; the scalar entry
+ * point keeps the python kernel's separate ban generation).  Frontier
+ * buffers hold at most n entries each because a vertex enters a side's
+ * frontier at most once per search. */
 static int64_t
 bidir_one(const int64_t *indptr, const int32_t *nbr, const int32_t *arc_eid,
-          int32_t source, int32_t target, int64_t gen,
+          int32_t source, int32_t target, int64_t gen, int64_t bgen,
           int have_e, int have_v,
           int64_t *visit_s, int32_t *dist_s,
           int64_t *visit_t, int32_t *dist_t,
           const int64_t *eban, const int64_t *vban,
           int32_t *fs, int32_t *fs_next, int32_t *ft, int32_t *ft_next)
 {
-    if (have_v && (vban[source] == gen || vban[target] == gen))
+    if (have_v && (vban[source] == bgen || vban[target] == bgen))
         return -1;
     if (source == target)
         return 0;
@@ -128,9 +138,9 @@ bidir_one(const int64_t *indptr, const int32_t *nbr, const int32_t *arc_eid,
                 int32_t w = nbr[p];
                 if (visit_a[w] == gen)
                     continue;
-                if (have_e && eban[arc_eid[p]] == gen)
+                if (have_e && eban[arc_eid[p]] == bgen)
                     continue;
-                if (have_v && vban[w] == gen)
+                if (have_v && vban[w] == bgen)
                     continue;
                 visit_a[w] = gen;
                 dist_a[w] = depth;
@@ -200,7 +210,7 @@ pair_range(const int64_t *indptr, const int32_t *nbr,
             have_v = 1;
         }
         out[q] = (int32_t)bidir_one(indptr, nbr, arc_eid, q_src[q], q_tgt[q],
-                                    gen, have_e, have_v, visit_s, dist_s,
+                                    gen, gen, have_e, have_v, visit_s, dist_s,
                                     visit_t, dist_t, eban, vban, fs, fs_next,
                                     ft, ft_next);
     }
@@ -437,5 +447,153 @@ repro_multi_target_dists(const int64_t *indptr, const int32_t *nbr,
             out[i] = dist[t];
         if (tmark[t] == gen)
             tmark[t] = 0;
+    }
+}
+
+/* ------------------------------------------------------------------
+ * Scalar entry points (CSRGraph.bfs / bfs_dists / bidir_distance)
+ * ------------------------------------------------------------------
+ *
+ * One context per CSR snapshot, laid out by ckernel.CSRContext and
+ * filled once when the snapshot binds to the C tier: the topology, the
+ * ban tables the caller stamps (generation `bgen` marks a live ban,
+ * exactly as in the python kernel), and the search scratch.  The visit
+ * generation lives here too: every search that the python kernel
+ * would count as a new generation bumps `gen`, so `visit[v] == gen`
+ * means "labeled by the last search" on either tier.  `count` is the
+ * python kernel's `_count`: the first `count` queue entries carry the
+ * last search's labels (0 after a point query).  A point query leaves
+ * nothing to read out, so it borrows queue, parent and the two
+ * read-out buffers as its four frontier buffers. */
+typedef struct {
+    int64_t n;
+    int64_t gen;
+    int64_t count;
+    const int64_t *indptr;
+    const int32_t *nbr;
+    const int32_t *arc_eid;
+    const int64_t *vban;
+    const int64_t *eban;
+    int64_t *visit;
+    int32_t *dist;
+    int32_t *parent;
+    int32_t *queue;
+    int64_t *visit2;
+    int32_t *dist2;
+    int32_t *out_dist; /* dense read-outs, n entries each */
+    int32_t *out_parent;
+} repro_csr_ctx;
+
+enum {
+    CSR_HAVE_E = 1,  /* some edge is banned under bgen */
+    CSR_HAVE_V = 2,  /* some vertex is banned under bgen */
+    CSR_PARENTS = 4, /* record first-discoverer parents */
+};
+
+/* Restricted FIFO BFS from `source` over sorted adjacency; with
+ * CSR_PARENTS the first discoverer of each vertex is its parent, which
+ * is the lexicographically minimal shortest-path tree (see csr.py).
+ * Stops when `target` (ignored when negative) is discovered and returns
+ * its distance; -1 when there is no target, it is unreachable, or the
+ * source is banned.  The caller checks 0 <= source < n. */
+REPRO_EXPORT int64_t
+repro_csr_bfs(repro_csr_ctx *c, int64_t source, int64_t target,
+              int64_t bgen, int64_t flags)
+{
+    const int64_t *indptr = c->indptr;
+    const int32_t *nbr = c->nbr;
+    const int32_t *arc_eid = c->arc_eid;
+    const int64_t *eban = c->eban;
+    const int64_t *vban = c->vban;
+    int64_t *visit = c->visit;
+    int32_t *dist = c->dist;
+    int32_t *parent = c->parent;
+    int32_t *queue = c->queue;
+    int have_e = (flags & CSR_HAVE_E) != 0;
+    int have_v = (flags & CSR_HAVE_V) != 0;
+    int parents = (flags & CSR_PARENTS) != 0;
+    int64_t gen = ++c->gen;
+    if (have_v && vban[source] == bgen) {
+        c->count = 0;
+        return -1;
+    }
+    visit[source] = gen;
+    dist[source] = 0;
+    if (parents)
+        parent[source] = (int32_t)source;
+    queue[0] = (int32_t)source;
+    c->count = 1;
+    if (target == source)
+        return 0;
+    int64_t head = 0, tail = 1;
+    while (head < tail) {
+        int32_t u = queue[head++];
+        int32_t du = dist[u] + 1;
+        int64_t p_end = indptr[u + 1];
+        for (int64_t p = indptr[u]; p < p_end; p++) {
+            int32_t w = nbr[p];
+            if (visit[w] == gen)
+                continue;
+            if (have_e && eban[arc_eid[p]] == bgen)
+                continue;
+            if (have_v && vban[w] == bgen)
+                continue;
+            visit[w] = gen;
+            dist[w] = du;
+            if (parents)
+                parent[w] = u;
+            queue[tail++] = w;
+            if (w == target) {
+                c->count = tail;
+                return du;
+            }
+        }
+    }
+    c->count = tail;
+    return -1;
+}
+
+/* Exact restricted hop distance source -> target (bidir_one); -1 when
+ * cut or an endpoint is banned, 0 when source == target.  Mirrors
+ * CSRGraph.bidir_distance, including which early exits consume a
+ * generation.  The caller checks both endpoints lie in [0, n). */
+REPRO_EXPORT int64_t
+repro_csr_bidir(repro_csr_ctx *c, int64_t source, int64_t target,
+                int64_t bgen, int64_t flags)
+{
+    int have_e = (flags & CSR_HAVE_E) != 0;
+    int have_v = (flags & CSR_HAVE_V) != 0;
+    if (have_v && (c->vban[source] == bgen || c->vban[target] == bgen))
+        return -1;
+    if (source == target)
+        return 0;
+    int64_t gen = ++c->gen;
+    c->count = 0;
+    return bidir_one(c->indptr, c->nbr, c->arc_eid, (int32_t)source,
+                     (int32_t)target, gen, bgen, have_e, have_v, c->visit,
+                     c->dist, c->visit2, c->dist2, c->eban, c->vban,
+                     c->queue, c->parent, c->out_dist, c->out_parent);
+}
+
+/* Dense read-out of the last search: out_dist[v] (and out_parent[v]
+ * with CSR_PARENTS) for the `count` labeled vertices, -1 elsewhere. */
+REPRO_EXPORT void
+repro_csr_collect(repro_csr_ctx *c, int64_t flags)
+{
+    int64_t n = c->n;
+    int parents = (flags & CSR_PARENTS) != 0;
+    int32_t *od = c->out_dist;
+    int32_t *op = c->out_parent;
+    for (int64_t v = 0; v < n; v++)
+        od[v] = -1;
+    if (parents)
+        for (int64_t v = 0; v < n; v++)
+            op[v] = -1;
+    const int32_t *queue = c->queue;
+    for (int64_t i = 0; i < c->count; i++) {
+        int32_t v = queue[i];
+        od[v] = c->dist[v];
+        if (parents)
+            op[v] = c->parent[v];
     }
 }

@@ -45,8 +45,9 @@ are therefore bit-identical to both ``LexShortestPaths`` and
 small array ops), so on small graphs the python kernel wins.  Below
 ``REPRO_BULK_MIN_N`` vertices (default ``512``, the empirical
 crossover) the kernel transparently delegates every call to the shared
-python kernel of the same snapshot — results are identical either way,
-so the switch is purely a performance decision.
+CSR kernel of the same snapshot (whose searches run in C whenever the
+C kernel loads) — results are identical either way, so the switch is
+purely a performance decision.
 
 **C kernel tier.**  The two batch entry points —
 :meth:`BulkCSRKernel.multi_pair_dists` and
@@ -74,6 +75,7 @@ from typing import Iterable, List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.csr import CSRGraph, UNREACHED, csr_of
+from repro.core.csr import kernel_dispatch_stats  # noqa: F401 (re-export)
 from repro.core.ckernel import (
     CKernel,
     c_kernel_mode,
@@ -96,31 +98,6 @@ def _min_bulk_n() -> int:
         return int(os.environ.get("REPRO_BULK_MIN_N", DEFAULT_MIN_BULK_N))
     except ValueError:
         return DEFAULT_MIN_BULK_N
-
-
-def kernel_dispatch_stats(graph: Graph, reset: bool = False):
-    """Dispatch counters of ``graph``'s cached bulk kernel, or ``None``.
-
-    Returns a copy of :attr:`BulkCSRKernel.dispatch_stats` — how many
-    multi-pair queries / sweep targets each kernel tier (C, numpy
-    dense, numpy compact, scalar cutover) actually served — so
-    auto-dispatch decisions are observable after the fact (``repro
-    bench`` and the E16 benchmark report them per arm).  ``reset``
-    zeroes the live counters after copying.  ``None`` when the graph
-    has no live bulk kernel (pure-python engines never build one).
-    """
-    csr = graph._csr_cache
-    kernel = csr._bulk if csr is not None else None
-    if kernel is None:
-        return None
-    stats = {
-        key: (dict(value) if isinstance(value, dict) else value)
-        for key, value in kernel.dispatch_stats.items()
-    }
-    if reset:
-        for key, value in kernel.dispatch_stats.items():
-            kernel.dispatch_stats[key] = {} if isinstance(value, dict) else 0
-    return stats
 
 
 def bulk_of(graph: Graph) -> "BulkCSRKernel":

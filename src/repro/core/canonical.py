@@ -16,7 +16,9 @@ that abstraction with three interchangeable engines:
     paths (see the kernel module docstring for the argument), so this
     engine is bit-for-bit equivalent to ``LexShortestPaths`` — asserted
     by ``tests/test_csr_equivalence.py`` — while being several times
-    faster.
+    faster.  The kernel's searches run in the compiled C kernel of
+    :mod:`repro.core.ckernel` whenever it loads (python loops
+    otherwise), so this engine is C-served at every graph size.
 
 ``LexShortestPaths`` (``"lex"``)
     The legacy layered reference implementation of the same order.  It
@@ -57,16 +59,13 @@ that abstraction with three interchangeable engines:
 
 ``CLexShortestPaths`` (``"lex-c"``, requires :mod:`numpy` + the
 compiled C kernel)
-    The top of the kernel ladder: searches run on the numpy bulk
-    kernel exactly like ``lex-bulk``, while the batched point-query
-    strategies (cross-query multi-pair, shared early-exit sweeps)
-    execute in the compiled C kernel of :mod:`repro.core.ckernel`.
-    Construction fails with a descriptive error when the C kernel
-    cannot load (no compiler, ``REPRO_C_KERNEL=off``); note the plain
-    ``lex-bulk`` tier *also* auto-dispatches to C when it is available
-    (``REPRO_C_KERNEL=auto``) — selecting ``lex-c`` turns that
-    opportunistic acceleration into a guarantee.  See
-    ``docs/kernels.md`` for the full ladder.
+    Exactly ``lex-bulk``, except that it requires the compiled C
+    kernel of :mod:`repro.core.ckernel`: construction fails with a
+    descriptive error when the C kernel cannot load (no compiler,
+    ``REPRO_C_KERNEL=off``).  The other CSR-backed engines use the C
+    kernel too whenever it is available (``REPRO_C_KERNEL=auto``) —
+    selecting ``lex-c`` turns that opportunistic acceleration into a
+    guarantee.  See ``docs/kernels.md`` for the full ladder.
 
 Fault simulation is expressed with *banned* vertex/edge sets interpreted
 in the traversal inner loop — restricted graphs like ``G \\ F``,
@@ -105,7 +104,6 @@ the equivalence tests always compare independently computed results.
 
 from __future__ import annotations
 
-import os
 import random
 from collections import deque
 from heapq import heappop, heappush
@@ -115,7 +113,12 @@ from repro.core.csr import CSRGraph, csr_of
 from repro.core.errors import DisconnectedError, GraphError
 from repro.core.graph import Edge, Graph, normalize_edge
 from repro.core.paths import Path, path_from_parents
-from repro.core.query_batch import LegacyQueryBatch, PointQueryBatch
+from repro.core.query_batch import (
+    LegacyQueryBatch,
+    PointQueryBatch,
+    env_int,
+    planner_knobs,
+)
 from repro.core.snapshot_cache import SnapshotCache, shared_cache
 
 try:  # The bulk kernel needs numpy; everything else must work without.
@@ -276,6 +279,7 @@ class CSRLexShortestPaths:
         # equivalence tests never compare an engine against another
         # engine's cached results.
         self._search_ns = "search:" + self.name
+        self._search_ints = env_int("REPRO_SEARCH_CACHE_INTS", self.SEARCH_CACHE_INTS)
 
     def _snapshot(self) -> CSRGraph:
         """The live CSR snapshot; rebuilt after mutation.
@@ -337,12 +341,7 @@ class CSRLexShortestPaths:
         cache = self._cache
         ns = self._search_ns
         weight = 2 * csr.n  # each result holds two n-length vectors
-        try:
-            weight_limit = int(
-                os.environ.get("REPRO_SEARCH_CACHE_INTS", self.SEARCH_CACHE_INTS)
-            )
-        except ValueError:
-            weight_limit = self.SEARCH_CACHE_INTS
+        weight_limit = self._search_ints
         entry = cache.get(csr, ns, key)
         if entry is not None:
             res, complete = entry
@@ -443,8 +442,8 @@ def _require_c_kernel() -> None:
     """
     if not HAVE_BULK:
         raise GraphError(
-            "the lex-c engine requires numpy (the C kernel accelerates "
-            "the numpy kernel's batch entry points), which is not installed"
+            "the lex-c engine requires numpy (it is the lex-bulk engine "
+            "with the C kernel required), which is not installed"
         )
     if c_kernel_mode() == "off":
         raise GraphError(
@@ -460,14 +459,14 @@ def _require_c_kernel() -> None:
 
 
 class CLexShortestPaths(BulkLexShortestPaths):
-    """Lexicographic canonical shortest paths with the C batch tier.
+    """Lexicographic canonical shortest paths that require the C tier.
 
-    Searches behave exactly like :class:`BulkLexShortestPaths` (full
-    canonical searches are level-synchronous numpy expansions — parent
-    tracking has no C port), but the engine asserts at construction
-    that the compiled C kernel of :mod:`repro.core.ckernel` is loaded,
-    and its oracle family (:class:`CDistanceOracle`) answers the
-    batched point-query pipeline's multi-pair and shared-sweep
+    Searches behave exactly like :class:`BulkLexShortestPaths` (numpy
+    level-synchronous expansions above ``REPRO_BULK_MIN_N``, the CSR
+    kernel's C-served searches below it), but the engine asserts at
+    construction that the compiled C kernel of :mod:`repro.core.ckernel`
+    is loaded, and its oracle family (:class:`CDistanceOracle`) answers
+    the batched point-query pipeline's multi-pair and shared-sweep
     strategies in C.  Output is bit-for-bit identical to every other
     lex engine (asserted by ``tests/test_csr_equivalence.py`` and the
     ``tests/test_query_batch.py`` property suites); selecting the tier
@@ -731,7 +730,7 @@ class DistanceOracle:
     entries).
     """
 
-    __slots__ = ("graph", "_csr", "_cache", "_cache_size")
+    __slots__ = ("graph", "_csr", "_cache", "_cache_size", "_vec_ints", "_knobs")
 
     #: Snapshot-cache namespaces, per oracle family (so equivalence
     #: tests compare independently computed results).
@@ -755,6 +754,9 @@ class DistanceOracle:
         self._csr = csr_of(graph)
         self._cache = shared_cache() if cache is None else cache
         self._cache_size = cache_size
+        # Knobs resolved once here, never per query.
+        self._vec_ints = env_int("REPRO_VEC_CACHE_INTS", self.VEC_CACHE_INTS)
+        self._knobs = planner_knobs()
 
     def _snapshot(self) -> CSRGraph:
         """The live CSR snapshot; rebuilt after mutation (which also
@@ -775,14 +777,6 @@ class DistanceOracle:
         eids.sort()
         verts = sorted(set(banned_vertices)) if banned_vertices else []
         return eids, verts
-
-    def _vec_weight_limit(self) -> int:
-        try:
-            return int(
-                os.environ.get("REPRO_VEC_CACHE_INTS", self.VEC_CACHE_INTS)
-            )
-        except ValueError:
-            return self.VEC_CACHE_INTS
 
     def batch(self) -> PointQueryBatch:
         """A fresh point-query planner bound to this oracle.
@@ -870,7 +864,7 @@ class DistanceOracle:
                 vec,
                 limit=self.VEC_CACHE_LIMIT,
                 weight=len(vec),
-                weight_limit=self._vec_weight_limit(),
+                weight_limit=self._vec_ints,
             )
         return list(vec)
 
@@ -911,7 +905,7 @@ class DistanceOracle:
                     vec,
                     limit=self.VEC_CACHE_LIMIT,
                     weight=len(vec),
-                    weight_limit=self._vec_weight_limit(),
+                    weight_limit=self._vec_ints,
                 )
             out.append(list(vec))
         return out

@@ -1,15 +1,22 @@
-"""Loader + ctypes wrapper for the compiled C batch kernel (``_ckernel.c``).
+"""Loader + ctypes wrappers for the compiled C kernels (``_ckernel.c``).
 
-The fourth tier of the kernel ladder (python → numpy dense → numpy
-compact → C; see ``docs/kernels.md``): the two batch hot paths of the
-point-query pipeline — :meth:`CKernel.multi_pair_dists` and
-:meth:`CKernel.multi_target_dists` — implemented in plain C over the
-same flat CSR arrays every other tier reads.  The C tier removes the
-cost the numpy lock-step kernels cannot: per-round python/array
-dispatch, which dominates on shallow expander workloads whose searches
-finish in 2-3 rounds.  Results are bit-identical to every other tier
-(same exactness argument, same ban-stamp semantics, same ``-1``
-conventions); the only thing that changes is the wall clock.
+The C tier of the kernel ladder (see ``docs/kernels.md``) serves two
+kinds of calls over the same flat CSR arrays every other tier reads:
+
+* the scalar searches of every CSR snapshot — ``CSRGraph.bfs``,
+  ``bfs_dists``, ``bidir_distance`` and ``bidir_distances`` dispatch
+  here through a :class:`ScalarBinding` bound once per snapshot, so a
+  call passes only integers (no per-call marshalling);
+* the two batch hot paths of the point-query pipeline —
+  :meth:`CKernel.multi_pair_dists` and
+  :meth:`CKernel.multi_target_dists` — which remove the per-round
+  python/array dispatch of the numpy lock-step kernels.
+
+Results are bit-identical to every other tier (same exactness
+argument, same ban-stamp semantics, same ``-1`` conventions); the only
+thing that changes is the wall clock.  Every id that crosses into C is
+range-checked first: out-of-range vertices or edge ids raise
+:class:`~repro.core.errors.GraphError` instead of reaching the C loops.
 
 **Loading.**  ``_ckernel.c`` carries no CPython dependency, so one
 source serves two build paths, tried in order by :func:`load_c_library`:
@@ -25,14 +32,17 @@ source serves two build paths, tried in order by :func:`load_c_library`:
 Both paths failing is not an error: the load outcome is memoized and
 the numpy/python kernels keep serving every query, so pure-python
 installs and compiler-less hosts are unaffected (guaranteed by the
-fallback tests in ``tests/test_query_batch.py``).
+fallback tests in ``tests/test_query_batch.py`` and
+``tests/test_scalar_tier.py``).  The library is loaded lazily, at the
+first kernel call that can use it — never at ``import repro``.
 
 Environment knobs (see ``docs/tuning.md``):
 
 ``REPRO_C_KERNEL``
     ``auto`` (default) uses the C kernel whenever it loads, silently
     degrading otherwise; ``on`` makes load failures raise instead of
-    degrade (CI's tier guard); ``off`` never touches it.
+    degrade (CI's tier guard); ``off`` never touches it.  Read once per
+    CSR snapshot (scalar tier) and per batch call (batch tier).
 ``REPRO_C_KERNEL_CC``
     Compiler for the on-demand build (default: ``$CC``, then the
     interpreter's configured compiler, then ``cc``).
@@ -63,13 +73,16 @@ import subprocess
 import sys
 import sysconfig
 import tempfile
+from array import array
 from typing import List, Optional, Sequence, Tuple
+
+from repro.core.errors import GraphError
 
 import numpy as np
 
 #: ABI tag the wrapper expects; must match the ABI macro in
 #: ``_ckernel.c`` (a mismatched cached build is rejected and rebuilt).
-ABI = 3
+ABI = 4
 
 #: Default ``REPRO_C_MT_MIN``: below this many queries per batch the
 #: serial C entry point wins (thread spawn ~tens of µs vs ~1 µs/pair).
@@ -170,6 +183,8 @@ def _configure(lib: ctypes.CDLL) -> Tuple[Optional[ctypes.CDLL], str]:
         return None, "library lacks the repro_ckernel_abi symbol"
     if abi != ABI:
         return None, f"library ABI {abi} != expected {ABI} (stale build)"
+    if array("i").itemsize != 4 or array("q").itemsize != 8:
+        return None, "array('i')/array('q') are not 32/64-bit on this platform"
     c64 = ctypes.c_int64
     c32 = ctypes.c_int32
     lib.repro_multi_pair_dists.restype = None
@@ -205,6 +220,13 @@ def _configure(lib: ctypes.CDLL) -> Tuple[Optional[ctypes.CDLL], str]:
         _P64, _P32,  # tmark, queue
         _P32,  # out
     ]
+    ctx_args = [ctypes.c_void_p, c64, c64, c64, c64]
+    for name in ("repro_csr_bfs", "repro_csr_bidir"):
+        fn = getattr(lib, name)
+        fn.restype = c64
+        fn.argtypes = ctx_args  # ctx, source, target, ban gen, flags
+    lib.repro_csr_collect.restype = None
+    lib.repro_csr_collect.argtypes = [ctypes.c_void_p, c64]
     return lib, "ok"
 
 
@@ -345,6 +367,234 @@ def c_kernel_available() -> bool:
     return c_kernel_status()[0]
 
 
+class CSRContext(ctypes.Structure):
+    """The per-snapshot context of the scalar entry points
+    (``repro_csr_ctx`` in ``_ckernel.c``; field order must match)."""
+
+    _fields_ = [
+        ("n", ctypes.c_int64),
+        ("gen", ctypes.c_int64),
+        ("count", ctypes.c_int64),
+        ("indptr", _P64),
+        ("nbr", _P32),
+        ("arc_eid", _P32),
+        ("vban", _P64),
+        ("eban", _P64),
+        ("visit", _P64),
+        ("dist", _P32),
+        ("parent", _P32),
+        ("queue", _P32),
+        ("visit2", _P64),
+        ("dist2", _P32),
+        ("out_dist", _P32),
+        ("out_parent", _P32),
+    ]
+
+
+def _ptr(arr: array, kind):
+    return ctypes.cast(arr.buffer_info()[0], kind)
+
+
+class ScalarBinding:
+    """One CSR snapshot bound to the scalar C entry points.
+
+    Owns the C-readable copies of the snapshot's topology (``indptr``
+    as ``array('q')``, ``nbr``/``arc_eid`` as ``array('i')``) and the
+    stamped scratch, all as :mod:`array` buffers whose addresses are
+    written into one :class:`CSRContext` at construction.  The
+    snapshot adopts the ban and label buffers as its own scratch
+    (``_vban``/``_eban``/``_visit``/``_dist``/...), so python-side ban
+    stamping and read-outs work unchanged; each call then passes only
+    the context address and four integers.
+
+    The buffers are private copies, never views of the caller's
+    arrays: an artifact's memory map (:mod:`repro.core.artifact`) gains
+    no buffer export and closes as before.
+    """
+
+    __slots__ = (
+        "ctx",
+        "addr",
+        "bfs",
+        "bidir",
+        "collect",
+        "indptr",
+        "nbr",
+        "arc_eid",
+        "vban",
+        "eban",
+        "visit",
+        "dist",
+        "parent",
+        "queue",
+        "visit2",
+        "dist2",
+        "out_dist",
+        "out_parent",
+        "_ints",
+        "_od",
+        "_op",
+    )
+
+    def __init__(
+        self,
+        lib: ctypes.CDLL,
+        n: int,
+        eid_cap: int,
+        indptr,
+        nbr,
+        arc_eid,
+        check: bool = False,
+    ) -> None:
+        self.indptr = typed_array(indptr, "q")
+        self.nbr = typed_array(nbr, "i")
+        self.arc_eid = typed_array(arc_eid, "i")
+        if check:
+            _check_topology(n, eid_cap, self.indptr, self.nbr, self.arc_eid)
+        unreached = array("q", [-1])
+        zeros = array("i", [0])
+        self.vban = unreached * n
+        self.eban = unreached * eid_cap
+        self.visit = unreached * n
+        self.visit2 = unreached * n
+        self.dist = zeros * n
+        self.parent = zeros * n
+        self.queue = zeros * n
+        self.dist2 = zeros * n
+        self.out_dist = zeros * n
+        self.out_parent = zeros * n
+        ctx = CSRContext()
+        ctx.n = n
+        # Empty buffers (edgeless or vertexless snapshots) yield NULL
+        # pointers, which C never dereferences: it reads only ids the
+        # wrapper checked against n and arcs that exist.
+        for name, kind in CSRContext._fields_[3:]:
+            setattr(ctx, name, _ptr(getattr(self, name), kind))
+        self.ctx = ctx
+        self.addr = ctypes.addressof(ctx)
+        self.bfs = lib.repro_csr_bfs
+        self.bidir = lib.repro_csr_bidir
+        self.collect = lib.repro_csr_collect
+        self._ints = _int_table(n)
+        self._od = np.frombuffer(self.out_dist, dtype=np.int32)
+        self._op = np.frombuffer(self.out_parent, dtype=np.int32)
+
+    def dist_list(self) -> List[int]:
+        """``out_dist`` (after ``collect``) as a fresh list of ints."""
+        return self._ints.take(self._od).tolist()
+
+    def parent_list(self) -> List[int]:
+        """``out_parent`` (after ``collect``) as a fresh list of ints."""
+        return self._ints.take(self._op).tolist()
+
+
+#: Shared int objects ``0 .. N-1`` followed by ``-1`` (so index ``-1``
+#: reads ``-1``), as a numpy object array.  Read-outs map through it
+#: instead of ``tolist()``: the lists they return are memoized by the
+#: thousand (search results, distance vectors), and shared objects cost
+#: 8 bytes an entry where fresh ints above the interpreter's small-int
+#: cache cost 36 — the same sharing the python kernel's lists get for
+#: free.
+_INTS = np.array([-1], dtype=object)
+
+
+def _int_table(n: int):
+    """The shared int table, grown to cover ``0 .. n-1``."""
+    global _INTS
+    if len(_INTS) <= n:
+        size = max(n, 2 * (len(_INTS) - 1))
+        _INTS = np.array(list(range(size)) + [-1], dtype=object)
+    return _INTS
+
+
+def typed_array(values, typecode: str) -> array:
+    """``values`` as an ``array(typecode)`` (``'q'`` or ``'i'``); an
+    array of that type passes through, anything else is copied at
+    memcpy speed through numpy."""
+    if isinstance(values, array) and values.typecode == typecode:
+        return values
+    out = array(typecode)
+    out.frombytes(
+        np.asarray(values, dtype=np.int64 if typecode == "q" else np.int32).tobytes()
+    )
+    return out
+
+
+def patch_flat(indptr, nbr, arc_eid, rows):
+    """Flat C arrays of a snapshot that differs from ``(indptr, nbr,
+    arc_eid)`` only in the rows ``rows`` — ``(u, ((w, eid), ...))``
+    pairs in increasing ``u``.
+
+    Untouched rows keep their arcs and only move, so the new ``nbr`` /
+    ``arc_eid`` are the old slices between rewritten rows (array
+    copies) around the few rewritten rows, and ``indptr`` is the old
+    one with each stretch after a rewritten row shifted by the arc
+    count gained so far.  Returns ``(indptr, nbr, arc_eid)`` typed as
+    :class:`ScalarBinding` expects.
+    """
+    pip = typed_array(indptr, "q")
+    pnbr = typed_array(nbr, "i")
+    peid = typed_array(arc_eid, "i")
+    out_ip = array("q", pip)
+    ip_view = np.frombuffer(out_ip, dtype=np.int64)
+    out_nbr = array("i")
+    out_eid = array("i")
+    prev = 0  # old arc position not yet copied
+    for u, row in rows:
+        lo = pip[u]
+        out_nbr.extend(pnbr[prev:lo])
+        out_eid.extend(peid[prev:lo])
+        out_nbr.extend([w for w, _ in row])
+        out_eid.extend([e for _, e in row])
+        prev = pip[u + 1]
+        gained = len(row) - (prev - lo)
+        if gained:
+            # rows after u move by the change (cumulative: each rewritten
+            # row shifts the whole tail by its own gain)
+            ip_view[u + 1 :] += gained
+    out_nbr.extend(pnbr[prev:])
+    out_eid.extend(peid[prev:])
+    return out_ip, out_nbr, out_eid
+
+
+def _check_topology(n: int, eid_cap: int, indptr, nbr, arc_eid) -> None:
+    """Reject flat CSR arrays the C loops could index out of bounds.
+
+    Used for topology the library did not build itself (an adopted
+    artifact, whose checksum may be switched off): ``indptr`` must run
+    from 0 to ``len(nbr)`` without decreasing, neighbors must lie in
+    ``[0, n)`` and edge ids in ``[0, eid_cap)``.
+    """
+    m2 = len(nbr)
+    if (
+        len(indptr) != n + 1
+        or len(arc_eid) != m2
+        or indptr[0] != 0
+        or indptr[n] != m2
+        or list(indptr) != sorted(indptr)
+        or (m2 and (min(nbr) < 0 or max(nbr) >= n))
+        or (m2 and (min(arc_eid) < 0 or max(arc_eid) >= eid_cap))
+    ):
+        raise GraphError(
+            f"CSR arrays do not describe a graph on {n} vertices with "
+            f"edge ids below {eid_cap}"
+        )
+
+
+def _ids(values, bound: int, what: str):
+    """``values`` as an int32 array after checking each lies in
+    ``[0, bound)``; :class:`GraphError` otherwise (never a C crash)."""
+    try:
+        arr = np.asarray(values, dtype=np.int64)
+    except (OverflowError, TypeError, ValueError) as err:
+        raise GraphError(f"{what} must be integer ids: {err}") from None
+    if arr.ndim != 1:
+        raise GraphError(f"{what} must be a flat sequence of ids")
+    if arr.size and (int(arr.min()) < 0 or int(arr.max()) >= bound):
+        raise GraphError(f"{what} out of range [0, {bound})")
+    return arr.astype(np.int32)
+
+
 def _p64(arr: np.ndarray):
     return arr.ctypes.data_as(_P64)
 
@@ -470,6 +720,8 @@ class CKernel:
         of the call.  Scratch generations are keyed on the *global*
         query index, so results are bit-identical for every thread
         count (callers usually let :func:`plan_c_threads` pick).
+        Sources, targets, banned edge ids and banned vertices are
+        range-checked before the call (:class:`GraphError`).
         """
         nq = len(queries)
         if nq == 0:
@@ -487,6 +739,13 @@ class CKernel:
             vb_ids.extend(verts)
             eb_off.append(len(eb_ids))
             vb_off.append(len(vb_ids))
+        n = self.n
+        q_src = _ids(q_src, n, "query sources")
+        q_tgt = _ids(q_tgt, n, "query targets")
+        eb_ids = _ids(eb_ids, self.m, "banned edge ids")
+        vb_ids = _ids(vb_ids, n, "banned vertices")
+        eb_off = np.asarray(eb_off, dtype=np.int64)
+        vb_off = np.asarray(vb_off, dtype=np.int64)
         out = np.empty(nq, dtype=np.int32)
         gen_base = self._gen
         self._gen = gen_base + nq
@@ -498,12 +757,12 @@ class CKernel:
                 _p32(self._nbr),
                 _p32(self._arc_eid),
                 nq,
-                _p32(np.asarray(q_src, dtype=np.int32)),
-                _p32(np.asarray(q_tgt, dtype=np.int32)),
-                _p64(np.asarray(eb_off, dtype=np.int64)),
-                _p32(np.asarray(eb_ids, dtype=np.int32)),
-                _p64(np.asarray(vb_off, dtype=np.int64)),
-                _p32(np.asarray(vb_ids, dtype=np.int32)),
+                _p32(q_src),
+                _p32(q_tgt),
+                _p64(eb_off),
+                _p32(eb_ids),
+                _p64(vb_off),
+                _p32(vb_ids),
                 gen_base,
                 threads,
                 max(self.n, 1),
@@ -524,12 +783,12 @@ class CKernel:
             _p32(self._nbr),
             _p32(self._arc_eid),
             nq,
-            _p32(np.asarray(q_src, dtype=np.int32)),
-            _p32(np.asarray(q_tgt, dtype=np.int32)),
-            _p64(np.asarray(eb_off, dtype=np.int64)),
-            _p32(np.asarray(eb_ids, dtype=np.int32)),
-            _p64(np.asarray(vb_off, dtype=np.int64)),
-            _p32(np.asarray(vb_ids, dtype=np.int32)),
+            _p32(q_src),
+            _p32(q_tgt),
+            _p64(eb_off),
+            _p32(eb_ids),
+            _p64(vb_off),
+            _p32(vb_ids),
             gen_base,
             _p64(self._visit_s),
             _p32(self._dist_s),
@@ -562,18 +821,22 @@ class CKernel:
         nt = len(targets)
         if nt == 0:
             return []
+        n = self.n
+        if not 0 <= source < n:
+            raise GraphError(f"sweep source {source} out of range [0, {n})")
+        t_arr = _ids(targets, n, "sweep targets")
+        e_arr = _ids(eids, self.m, "banned edge ids")
+        v_arr = _ids(verts, n, "banned vertices")
         out = np.empty(nt, dtype=np.int32)
         gen = self._gen + 1
         self._gen = gen
-        e_arr = np.asarray(eids, dtype=np.int32)
-        v_arr = np.asarray(verts, dtype=np.int32)
         self._lib.repro_multi_target_dists(
             _p64(self._indptr),
             _p32(self._nbr),
             _p32(self._arc_eid),
             source,
             nt,
-            _p32(np.asarray(targets, dtype=np.int32)),
+            _p32(t_arr),
             len(e_arr),
             _p32(e_arr),
             len(v_arr),

@@ -57,6 +57,19 @@ order, and the first (minimum-rank) discoverer is the canonical parent.
 This is asserted against the legacy layered implementation by the
 equivalence property tests (``tests/test_csr_equivalence.py``).
 
+**Two tiers behind one seam.**  :meth:`CSRGraph.bfs`,
+:meth:`~CSRGraph.bfs_dists`, :meth:`~CSRGraph.bidir_distance` and
+:meth:`~CSRGraph.bidir_distances` run in the compiled C kernel
+(:mod:`repro.core.ckernel`) whenever it loads and ``REPRO_C_KERNEL``
+is ``auto`` or ``on``; the python loops below serve ``off`` and hosts
+without a compiler.  The tier is resolved once per snapshot, at its
+first ban stamp: a C snapshot swaps its scratch lists for the
+:class:`~repro.core.ckernel.ScalarBinding`'s buffers, so stamping and
+the read-outs (:meth:`~CSRGraph.collect`,
+:meth:`~CSRGraph.distances_list`, :meth:`~CSRGraph.last_distance`)
+are the same code on both tiers and return the same values.  Every
+call is counted per tier (:func:`kernel_dispatch_stats`).
+
 The snapshot is cached on the graph (versioned, invalidated by
 mutation) via :func:`csr_of`, so the canonical engine, the distance
 oracle and the BFS tree of one :class:`~repro.replacement.base.SourceContext`
@@ -74,6 +87,41 @@ from repro.core.graph import Edge, Graph
 
 #: Stamp value meaning "never used"; all generation counters start above it.
 UNREACHED = -1
+
+#: ``flags`` bits of the C scalar entry points (``CSR_*`` in ``_ckernel.c``).
+_HAVE_E = 1
+_HAVE_V = 2
+_PARENTS = 4
+
+
+def kernel_dispatch_stats(graph: Graph, reset: bool = False):
+    """Which kernel tier served ``graph``'s current snapshot, or ``None``.
+
+    ``scalar_c`` / ``scalar_python`` count the scalar searches
+    (:meth:`CSRGraph.bfs`, :meth:`~CSRGraph.bfs_dists`, one per point
+    query of :meth:`~CSRGraph.bidir_distance` /
+    :meth:`~CSRGraph.bidir_distances`) each tier answered.  When the
+    snapshot carries a numpy bulk kernel, its batch counters
+    (:attr:`repro.core.bulk.BulkCSRKernel.dispatch_stats`: multi-pair
+    queries / sweep targets per tier) are included.  Returns a copy;
+    ``reset`` zeroes the live counters after copying.  ``None`` when
+    the graph has no snapshot yet.
+    """
+    csr = graph._csr_cache
+    if csr is None:
+        return None
+    stats = {"scalar_c": csr._calls_c, "scalar_python": csr._calls_py}
+    kernel = csr._bulk
+    if kernel is not None:
+        for key, value in kernel.dispatch_stats.items():
+            stats[key] = dict(value) if isinstance(value, dict) else value
+    if reset:
+        csr._calls_c = 0
+        csr._calls_py = 0
+        if kernel is not None:
+            for key, value in kernel.dispatch_stats.items():
+                kernel.dispatch_stats[key] = {} if isinstance(value, dict) else 0
+    return stats
 
 
 def delta_max_overlay() -> int:
@@ -177,6 +225,12 @@ class CSRGraph:
         # Lazily attached numpy bulk kernel (repro.core.bulk.bulk_of);
         # lives on the snapshot so it shares its lifetime/invalidation.
         "_bulk",
+        # Scalar tier: None until the first ban stamp resolves it, then
+        # False (python loops) or a ckernel.ScalarBinding (C).
+        "_ck",
+        # Scalar searches served per tier (kernel_dispatch_stats).
+        "_calls_c",
+        "_calls_py",
         "_visit",
         "_dist",
         "_parent",
@@ -290,6 +344,9 @@ class CSRGraph:
         """Allocate the pooled stamped scratch (see module docstring)."""
         n = self.n
         self._bulk = None
+        self._ck = None
+        self._calls_c = 0
+        self._calls_py = 0
         self._visit = [UNREACHED] * n
         self._dist = [0] * n
         self._parent = [0] * n
@@ -303,6 +360,70 @@ class CSRGraph:
         self._visit2 = [UNREACHED] * n
         self._dist2 = [0] * n
         self._gen2 = 0
+
+    # ------------------------------------------------------------------
+    # scalar tier
+    # ------------------------------------------------------------------
+    def _bind_tier(self):
+        """Resolve the tier serving this snapshot's scalar searches.
+
+        Runs once, at the first ban stamp (so before any search): reads
+        ``REPRO_C_KERNEL``, loads the library on first use in the
+        process, and on success binds a
+        :class:`~repro.core.ckernel.ScalarBinding` and adopts its
+        buffers as this snapshot's scratch.  ``auto`` falls back to the
+        python loops silently; ``on`` raises :class:`RuntimeError`.
+        Returns the binding, or ``False`` for the python tier.
+        """
+        binding = False
+        try:
+            from repro.core import ckernel
+        except ImportError:  # pragma: no cover - numpy-less installs
+            ckernel = None
+        mode = ckernel.c_kernel_mode() if ckernel is not None else "off"
+        if mode != "off":
+            lib, detail = ckernel.load_c_library()
+            if lib is None:
+                if mode == "on":
+                    raise RuntimeError(
+                        f"REPRO_C_KERNEL=on but the C kernel is "
+                        f"unavailable: {detail}"
+                    )
+            else:
+                indptr, nbr, arc_eid, check = self._c_flat()
+                binding = ckernel.ScalarBinding(
+                    lib, self.n, self.eid_cap, indptr, nbr, arc_eid, check
+                )
+                self._vban = binding.vban
+                self._eban = binding.eban
+                self._visit = binding.visit
+                self._dist = binding.dist
+                self._parent = binding.parent
+                self._queue = binding.queue
+                self._visit2 = binding.visit2
+                self._dist2 = binding.dist2
+                self._count = 0
+        self._ck = binding
+        return binding
+
+    def _c_flat(self):
+        """``(indptr, nbr, arc_eid, check)`` for binding the C tier.
+
+        The binding converts the arrays to the C types (``indptr``
+        int64, ``nbr``/``arc_eid`` int32).  ``check`` is set for
+        adopted buffers (artifact memoryviews): the library did not
+        build them, so the binding validates its copies.
+        """
+        ck = self._ck
+        if ck:
+            return ck.indptr, ck.nbr, ck.arc_eid, False
+        indptr = self.indptr
+        return indptr, self.nbr, self.arc_eid, not isinstance(indptr, array)
+
+    def _check_vertex(self, v: int) -> None:
+        """The C tier's endpoint check (the python loops index lists)."""
+        if not 0 <= v < self.n:
+            raise GraphError(f"vertex {v} out of range [0, {self.n})")
 
     # ------------------------------------------------------------------
     # restriction stamping
@@ -341,6 +462,8 @@ class CSRGraph:
 
     def stamp_edge_ids(self, edge_ids: Iterable[int], vertices: Iterable[int]) -> Tuple[int, bool, bool]:
         """Like :meth:`stamp_bans` but from pre-resolved edge ids."""
+        if self._ck is None:
+            self._bind_tier()
         bg = self._ban_gen + 1
         self._ban_gen = bg
         have_e = False
@@ -385,8 +508,25 @@ class CSRGraph:
         The four loop variants below are deliberate: hoisting the
         ban-mode branches out of the inner loop is worth ~30% in
         CPython, and this loop is the hottest code in the library.
+        On a C-bound snapshot the same search runs in
+        ``repro_csr_bfs`` (``source`` must lie in ``[0, n)``).
         """
         bg, have_e, have_v = ban
+        ck = self._ck
+        if ck is None:
+            ck = self._bind_tier()
+        if ck:
+            if not 0 <= source < self.n:
+                self._check_vertex(source)
+            self._calls_c += 1
+            return ck.bfs(
+                ck.addr,
+                source,
+                UNREACHED if target is None else target,
+                bg,
+                _PARENTS | (_HAVE_E if have_e else 0) | (_HAVE_V if have_v else 0),
+            )
+        self._calls_py += 1
         gen = self._gen + 1
         self._gen = gen
         if have_v and self._vban[source] == bg:
@@ -501,6 +641,22 @@ class CSRGraph:
         like :meth:`bfs`'s (``distances_list`` / ``last_distance``).
         """
         bg, have_e, have_v = ban
+        ck = self._ck
+        if ck is None:
+            ck = self._bind_tier()
+        if ck:
+            if not 0 <= source < self.n:
+                self._check_vertex(source)
+            self._calls_c += 1
+            ck.bfs(
+                ck.addr,
+                source,
+                UNREACHED,
+                bg,
+                (_HAVE_E if have_e else 0) | (_HAVE_V if have_v else 0),
+            )
+            return
+        self._calls_py += 1
         gen = self._gen + 1
         self._gen = gen
         if have_v and self._vban[source] == bg:
@@ -580,6 +736,10 @@ class CSRGraph:
         Unreached vertices get ``-1`` in both, ``parent[source] == source``
         — the :class:`~repro.core.canonical.SearchResult` contract.
         """
+        ck = self._ck
+        if ck:
+            ck.collect(ck.addr, _PARENTS)
+            return ck.dist_list(), ck.parent_list()
         n = self.n
         dist_out = [UNREACHED] * n
         parent_out = [UNREACHED] * n
@@ -594,6 +754,10 @@ class CSRGraph:
 
     def distances_list(self) -> List[int]:
         """The last search's full distance vector (``-1`` = unreached)."""
+        ck = self._ck
+        if ck:
+            ck.collect(ck.addr, 0)
+            return ck.dist_list()
         n = self.n
         out = [UNREACHED] * n
         dist = self._dist
@@ -605,7 +769,9 @@ class CSRGraph:
 
     def last_distance(self, v: int) -> int:
         """Distance of ``v`` in the last search (``-1`` if unreached)."""
-        return self._dist[v] if self._visit[v] == self._gen else UNREACHED
+        ck = self._ck
+        gen = ck.ctx.gen if ck else self._gen
+        return self._dist[v] if self._visit[v] == gen else UNREACHED
 
     # ------------------------------------------------------------------
     # bidirectional point query
@@ -630,9 +796,28 @@ class CSRGraph:
         makes the distance oracle's point queries (the bulk of
         ``Cons2FTBFS``'s feasibility checks) cheap.  Distances only; no
         parent tracking.  Returns ``-1`` when the restriction cuts the
-        pair (or bans an endpoint).
+        pair (or bans an endpoint).  On a C-bound snapshot the same
+        search runs in ``repro_csr_bidir`` (both endpoints must lie in
+        ``[0, n)``).
         """
         bg, have_e, have_v = ban
+        ck = self._ck
+        if ck is None:
+            ck = self._bind_tier()
+        if ck:
+            n = self.n
+            if not (0 <= source < n and 0 <= target < n):
+                self._check_vertex(source)
+                self._check_vertex(target)
+            self._calls_c += 1
+            return ck.bidir(
+                ck.addr,
+                source,
+                target,
+                bg,
+                (_HAVE_E if have_e else 0) | (_HAVE_V if have_v else 0),
+            )
+        self._calls_py += 1
         vban = self._vban
         if have_v and (vban[source] == bg or vban[target] == bg):
             return UNREACHED
@@ -728,8 +913,26 @@ class CSRGraph:
         with ``pairs`` (``-1`` = cut).  Bit-identical to per-pair
         :meth:`bidir_distance` calls by construction.
         """
-        bidir = self.bidir_distance
-        return [bidir(s, t, ban) for s, t in pairs]
+        ck = self._ck
+        if ck is None:
+            ck = self._bind_tier()
+        if not ck:
+            bidir = self.bidir_distance
+            return [bidir(s, t, ban) for s, t in pairs]
+        bg, have_e, have_v = ban
+        flags = (_HAVE_E if have_e else 0) | (_HAVE_V if have_v else 0)
+        fn = ck.bidir
+        addr = ck.addr
+        n = self.n
+        out = []
+        push = out.append
+        for s, t in pairs:
+            if not (0 <= s < n and 0 <= t < n):
+                self._check_vertex(s)
+                self._check_vertex(t)
+            push(fn(addr, s, t, bg, flags))
+        self._calls_c += len(out)
+        return out
 
 
 class DeltaCSRGraph(CSRGraph):
@@ -751,12 +954,14 @@ class DeltaCSRGraph(CSRGraph):
       a delta edge get new ``rows``/``arcs`` tuples; everything else
       aliases the parent's (immutable) tuples.
     * **re-flattens lazily**: the flat ``indptr``/``nbr``/``arc_eid``
-      vectors — needed only by the numpy/C bulk consumers and the
+      vectors — needed only by the numpy bulk consumers and the
       artifact writer — are materialized on first attribute access, so
-      a pure-python query stream after a delta never pays for them.
+      a query stream after a delta never pays for them.  The C tier's
+      flat arrays are instead patched from the parent's at copy speed
+      (:meth:`_c_flat`), touching only the rewritten rows.
     """
 
-    __slots__ = ("parent", "_free_eids")
+    __slots__ = ("parent", "_free_eids", "_touched")
 
     def __init__(
         self,
@@ -797,7 +1002,9 @@ class DeltaCSRGraph(CSRGraph):
             i = edge_index[(u, v)]
             gain.setdefault(u, []).append((v, i))
             gain.setdefault(v, []).append((u, i))
-        for u in set(drop) | set(gain):
+        touched = sorted(set(drop) | set(gain))
+        self._touched = tuple(touched)
+        for u in touched:
             gone = drop.get(u, ())
             row = [(w, e) for (w, e) in parent.arcs[u] if w not in gone]
             row.extend(gain.get(u, ()))
@@ -815,6 +1022,31 @@ class DeltaCSRGraph(CSRGraph):
             self._flatten()
             return CSRGraph.__dict__[name].__get__(self)
         raise AttributeError(name)
+
+    def _bind_tier(self):
+        binding = super()._bind_tier()
+        if binding:
+            # The bound arrays are all a descendant's patch needs, so
+            # the lineage can go: retired ancestors (and their scratch)
+            # are freed instead of living as long as the newest overlay.
+            self.parent = None
+        return binding
+
+    def _c_flat(self):
+        """The C tier's flat arrays, patched from the parent's
+        (:func:`repro.core.ckernel.patch_flat`: array copies between the
+        rewritten rows).  An unbound parent derives its own arrays the
+        same way, recursively down to the last fresh snapshot.
+        """
+        ck = self._ck
+        if ck:
+            return ck.indptr, ck.nbr, ck.arc_eid, False
+        from repro.core.ckernel import patch_flat
+
+        pip, pnbr, peid, check = self.parent._c_flat()
+        arcs = self.arcs
+        rows = [(u, arcs[u]) for u in self._touched]
+        return (*patch_flat(pip, pnbr, peid, rows), check)
 
     def _flatten(self) -> None:
         """Materialize the flat CSR vectors from the iteration views."""

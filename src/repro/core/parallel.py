@@ -242,14 +242,11 @@ def worker_counters_end(graph=None) -> Dict[str, dict]:
 
     out: Dict[str, dict] = {"snapshot_cache": shared_cache().stats()}
     if graph is not None:
-        try:
-            from repro.core.bulk import kernel_dispatch_stats
-        except ImportError:
-            kernel_dispatch_stats = None
-        if kernel_dispatch_stats is not None:
-            dispatch = kernel_dispatch_stats(graph, reset=True)
-            if dispatch:
-                out["kernel_dispatch"] = dispatch
+        from repro.core.csr import kernel_dispatch_stats
+
+        dispatch = kernel_dispatch_stats(graph, reset=True)
+        if dispatch:
+            out["kernel_dispatch"] = dispatch
     return out
 
 

@@ -120,12 +120,26 @@ Environment knobs:
     ``16``; a k-target group affords a k-times-larger region).
 ``REPRO_BATCH_CHUNK``
     Multi-pair kernel chunk size override (default: cache-driven).
+
+``REPRO_QUERY_BATCH`` is read when a
+:class:`~repro.replacement.base.SourceContext` is built, the three
+planner thresholds above when an oracle is (:func:`planner_knobs`);
+no query reads the environment.
 """
 
 from __future__ import annotations
 
 import os
-from typing import Dict, Hashable, Iterable, List, Optional, Sequence, Tuple
+from typing import (
+    Dict,
+    Hashable,
+    Iterable,
+    List,
+    NamedTuple,
+    Optional,
+    Sequence,
+    Tuple,
+)
 
 from repro.core.snapshot_cache import shared_cache
 
@@ -150,29 +164,6 @@ DEFAULT_PAIR_MIN = 24
 DEFAULT_PAIR_MIN_C = 4
 
 
-def sweep_min_targets() -> int:
-    """Pending targets per (fault set, source) sub-group that justify a
-    vectorized shared sweep (``REPRO_BATCH_SWEEP_MIN``)."""
-    try:
-        return int(
-            os.environ.get("REPRO_BATCH_SWEEP_MIN", DEFAULT_SWEEP_MIN_TARGETS)
-        )
-    except ValueError:
-        return DEFAULT_SWEEP_MIN_TARGETS
-
-
-def pair_min(c_active: bool = False) -> int:
-    """Residual pair count that justifies the cross-query multi-pair
-    kernel (``REPRO_BATCH_PAIR_MIN``); the default drops from 24 to 4
-    when the C kernel tier serves the entry point (its per-batch fixed
-    cost is far below a numpy chunk's)."""
-    default = DEFAULT_PAIR_MIN_C if c_active else DEFAULT_PAIR_MIN
-    try:
-        return int(os.environ.get("REPRO_BATCH_PAIR_MIN", default))
-    except ValueError:
-        return default
-
-
 #: Largest affected region the tree-repair fast path will handle before
 #: deferring to the traversal kernels (``REPRO_BATCH_REPAIR_MAX``).
 #: Crossover vs the multi-pair kernel: repair costs ~region·degree list
@@ -182,14 +173,55 @@ def pair_min(c_active: bool = False) -> int:
 DEFAULT_REPAIR_MAX_REGION = 16
 
 
-def repair_max_region() -> int:
-    """Region-size cap for the tree-repair executor strategy."""
+def env_int(name: str, default: int) -> int:
+    """Integer knob ``name`` from the environment (``default`` when unset
+    or unparsable); read at construction time, never per query."""
     try:
-        return int(
-            os.environ.get("REPRO_BATCH_REPAIR_MAX", DEFAULT_REPAIR_MAX_REGION)
-        )
+        return int(os.environ.get(name, default))
     except ValueError:
-        return DEFAULT_REPAIR_MAX_REGION
+        return default
+
+
+class PlannerKnobs(NamedTuple):
+    """The planner's strategy thresholds, read from the environment once.
+
+    Resolved when an oracle is constructed (:func:`planner_knobs`) and
+    shared by every planner bound to it, so executing a batch reads no
+    environment variables.
+    """
+
+    #: Pending targets per (fault set, source) sub-group that justify a
+    #: vectorized shared sweep (``REPRO_BATCH_SWEEP_MIN``).
+    sweep_min: int
+    #: Per-query region budget of the tree-repair strategy
+    #: (``REPRO_BATCH_REPAIR_MAX``).
+    repair_max: int
+    #: ``REPRO_BATCH_PAIR_MIN`` when set, else ``None`` (tier default).
+    pair_min: Optional[int]
+
+    def pair_threshold(self, c_active: bool) -> int:
+        """Residual pair count that justifies the cross-query
+        multi-pair kernel; the default drops from 24 to 4 when the C
+        kernel tier serves the entry point (its per-batch fixed cost is
+        far below a numpy chunk's)."""
+        if self.pair_min is not None:
+            return self.pair_min
+        return DEFAULT_PAIR_MIN_C if c_active else DEFAULT_PAIR_MIN
+
+
+def planner_knobs() -> PlannerKnobs:
+    """Read ``REPRO_BATCH_SWEEP_MIN`` / ``REPRO_BATCH_REPAIR_MAX`` /
+    ``REPRO_BATCH_PAIR_MIN`` (unparsable values mean the default)."""
+    raw = os.environ.get("REPRO_BATCH_PAIR_MIN")
+    try:
+        pair = int(raw) if raw is not None else None
+    except ValueError:
+        pair = None
+    return PlannerKnobs(
+        env_int("REPRO_BATCH_SWEEP_MIN", DEFAULT_SWEEP_MIN_TARGETS),
+        env_int("REPRO_BATCH_REPAIR_MAX", DEFAULT_REPAIR_MAX_REGION),
+        pair,
+    )
 
 
 class _TreeRepair:
@@ -544,12 +576,21 @@ class PointQueryBatch:
     identical either way.
     """
 
-    __slots__ = ("_oracle", "_requests", "_executed", "_stats", "_ns", "_weight_limit")
+    __slots__ = (
+        "_oracle",
+        "_requests",
+        "_executed",
+        "_stats",
+        "_ns",
+        "_weight_limit",
+        "_knobs",
+    )
 
     def __init__(
         self, oracle, namespace: Optional[str] = None, weight_limit: int = 0
     ) -> None:
         self._oracle = oracle
+        self._knobs = getattr(oracle, "_knobs", None) or planner_knobs()
         self._ns = namespace
         self._weight_limit = weight_limit
         # (source, target, banned_edges, banned_vertices, handle)
@@ -716,7 +757,7 @@ class PointQueryBatch:
         # speculative wave shares them with the owning oracle's batches
         # instead of rebuilding per override namespace.
         repair_ns = "repair:" + oracle._PT_NS
-        repair_limit = repair_max_region()
+        repair_limit = self._knobs.repair_max
         for (source, ekey, vkey), group_slots in by_restriction.items():
             answers = None
             if not vkey and 0 <= source < n:
@@ -748,7 +789,7 @@ class PointQueryBatch:
         # -- grouped execution (one stamping per frozen fault set) ----
         kernel = oracle._sweep_kernel(csr)
         vectorized = getattr(kernel, "vectorized", False)
-        min_targets = sweep_min_targets()
+        min_targets = self._knobs.sweep_min
         residual: List[int] = []
         for (ekey, vkey), group_slots in groups.items():
             if len(group_slots) < min_targets:
@@ -769,7 +810,7 @@ class PointQueryBatch:
             if (
                 vectorized
                 and hasattr(kernel, "multi_pair_dists")
-                and len(residual) >= pair_min(c_active)
+                and len(residual) >= self._knobs.pair_threshold(c_active)
             ):
                 queries = [
                     (unique[slot][0], unique[slot][1], unique[slot][2], unique[slot][3])
@@ -838,7 +879,7 @@ class PointQueryBatch:
         by_source: Dict[int, List[int]] = {}
         for slot in group_slots:
             by_source.setdefault(unique[slot][0], []).append(slot)
-        min_targets = sweep_min_targets()
+        min_targets = self._knobs.sweep_min
         residual: List[int] = []
         ban = None
         for source, source_slots in by_source.items():

@@ -60,7 +60,6 @@ See ``docs/weighted.md`` for the full semantics.
 
 from __future__ import annotations
 
-import os
 from heapq import heappop, heappush
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
@@ -68,7 +67,7 @@ from repro.core.csr import CSRGraph, csr_of
 from repro.core.errors import DisconnectedError, GraphError
 from repro.core.graph import Graph
 from repro.core.paths import Path
-from repro.core.query_batch import QueryHandle
+from repro.core.query_batch import QueryHandle, env_int
 from repro.core.snapshot_cache import SnapshotCache, shared_cache
 
 from repro.core.canonical import (
@@ -349,6 +348,7 @@ class CSRWeightedShortestPaths(_EcmpMixin):
         # whose delta-migration certificates assume hop layering (see
         # the module docstring) — unknown namespaces are evicted.
         self._search_ns = "wsearch:" + self.name
+        self._search_ints = env_int("REPRO_SEARCH_CACHE_INTS", self.SEARCH_CACHE_INTS)
         self._csr = None
         self._bind(csr_of(graph))
 
@@ -405,12 +405,7 @@ class CSRWeightedShortestPaths(_EcmpMixin):
         cache = self._cache
         ns = self._search_ns
         weight = 2 * csr.n
-        try:
-            weight_limit = int(
-                os.environ.get("REPRO_SEARCH_CACHE_INTS", self.SEARCH_CACHE_INTS)
-            )
-        except ValueError:
-            weight_limit = self.SEARCH_CACHE_INTS
+        weight_limit = self._search_ints
         entry = cache.get(csr, ns, key)
         if entry is not None:
             res, complete = entry

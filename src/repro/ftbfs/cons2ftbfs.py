@@ -77,7 +77,6 @@ from repro.core.query_batch import (
     QueryHandle,
     SpecHandle,
     SpeculativeBatch,
-    batching_enabled,
     spec_rounds,
     speculation_enabled,
 )
@@ -143,7 +142,7 @@ def build_cons2ftbfs(
     # and resolve all their feasibility distances in one batched
     # execution; phase 3 (finish) then replays the paper's sequential
     # selection against the precomputed answers.  See module docstring.
-    batch = ctx.query_batch() if batching_enabled() else None
+    batch = ctx.query_batch() if ctx.batching else None
     plans = [
         _plan_vertex(ctx, v, batch)
         for v in tree.vertices()

@@ -33,6 +33,7 @@ from repro.core.canonical import DistanceOracle, make_engine, normalize_distance
 from repro.core.errors import GraphError
 from repro.core.graph import Edge, Graph, normalize_edge
 from repro.core.paths import Path
+from repro.core.query_batch import batching_enabled
 from repro.core.tree import BFSTree
 
 
@@ -65,6 +66,9 @@ class SourceContext:
         oracle_cls = getattr(engine, "oracle_class", DistanceOracle)
         self.oracle = oracle_cls(graph)
         self.tree = BFSTree(graph, source, self.engine)
+        #: ``REPRO_QUERY_BATCH``, resolved once for every builder and
+        #: replacement loop run on this context.
+        self.batching = batching_enabled()
         # Per-fault full distance vectors (G \ {e}), shared by every
         # target below the failing edge; see fault_distances().
         self._fault_dist: dict = {}

@@ -41,7 +41,6 @@ from repro.core.canonical import INF, UNREACHED
 from repro.core.errors import ConstructionError
 from repro.core.graph import Edge, normalize_edge
 from repro.core.paths import Path
-from repro.core.query_batch import batching_enabled
 from repro.replacement.base import SourceContext
 
 
@@ -266,7 +265,7 @@ def all_single_replacements(
     pi_path = ctx.pi(v)
     edge_list = [normalize_edge(u, w) for u, w in pi_path.directed_edges()]
     out: Dict[Edge, Optional[SingleReplacement]] = {}
-    if linear or not batching_enabled():
+    if linear or not ctx.batching:
         for e in edge_list:
             out[e] = single_replacement(ctx, v, e, linear=linear)
         return out

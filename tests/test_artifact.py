@@ -15,6 +15,7 @@ from repro.core.artifact import (
     save_artifact,
 )
 from repro.core.canonical import ENGINES
+from repro.core.ckernel import c_kernel_available
 from repro.core.csr import csr_of
 from repro.core.errors import GraphError
 from repro.core.snapshot_cache import shared_cache
@@ -28,7 +29,7 @@ def sample_structure(n=24, p=0.18, seed=6):
 
 def engine_or_skip(name):
     """Skip the test when this host cannot construct the engine tier."""
-    if name not in ENGINES:
+    if name not in ENGINES or (name == "lex-c" and not c_kernel_available()):
         pytest.skip(f"engine {name!r} unavailable on this host")
     return name
 
